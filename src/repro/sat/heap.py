@@ -16,6 +16,12 @@ the heap order in the same O(log n) sift.
 All comparisons are on activity alone; equal activities keep a deterministic
 (insertion/sift) order, which is what makes solver runs — and therefore
 SAT-guided witness sets — bit-reproducible for a fixed seed.
+
+:class:`~repro.sat.solver.CdclSolver` inlines :meth:`ActivityHeap.pop` and
+:meth:`ActivityHeap.push` on its decision and backtrack paths, working on
+``_heap``/``_pos``/``_act`` directly; a change to the sift order here must be
+mirrored there.  Every list is mutated in place, never rebound, so those
+references stay valid.
 """
 
 from __future__ import annotations
@@ -123,8 +129,8 @@ class ActivityHeap:
         return activity
 
     def rescale(self, factor: float) -> None:
-        """Multiply every activity by ``factor`` (order-preserving)."""
-        self._act = [activity * factor for activity in self._act]
+        """Multiply every activity by ``factor`` (order-preserving, in place)."""
+        self._act[:] = [activity * factor for activity in self._act]
 
     # ------------------------------------------------------------------
     # Internals

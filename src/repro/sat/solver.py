@@ -29,15 +29,17 @@ time-frame unrolls, where the learned-clause set would otherwise grow without
 bound across :meth:`~repro.sat.unroll.TimeFrameExpansion.extend_to` calls.
 
 Configuration is a frozen :class:`SolverConfig`; cumulative counters are a
-:class:`SolverStats` snapshot from :meth:`CdclSolver.stats`.  The legacy
-``decay``/``restart_base``/``restart_growth`` keyword arguments are still
-accepted for one release with a :class:`DeprecationWarning`.
+:class:`SolverStats` snapshot from :meth:`CdclSolver.stats`.
+
+Assignments live in one list indexed by the signed literal (MiniSat's
+literal-indexed layout): ``val[v]`` is variable ``v``'s value and ``val[-v]``
+-- through Python's negative indexing -- its complement, so every literal test
+on the hot paths is a single lookup with no sign branch.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from time import perf_counter
 
 from repro.obs.profile import hot_path
@@ -218,8 +220,6 @@ def luby(index: int) -> int:
     return 1 << height
 
 
-_UNASSIGNED = -1
-
 #: Rescale threshold/factor for EVSIDS activities (MiniSat's constants).
 _ACTIVITY_LIMIT = 1e100
 _ACTIVITY_RESCALE = 1e-100
@@ -227,58 +227,42 @@ _CLAUSE_ACTIVITY_LIMIT = 1e20
 _CLAUSE_ACTIVITY_RESCALE = 1e-20
 
 
+def _relayout(table: list, num_vars: int, capacity: int) -> list:
+    """Copy a literal-indexed table into a longer list of ``capacity`` slots."""
+    grown = [None] * capacity
+    grown[: num_vars + 1] = table[: num_vars + 1]
+    if num_vars:
+        grown[-num_vars:] = table[-num_vars:]
+    return grown
+
+
 class CdclSolver:
     """Incremental CDCL solver over a :class:`~repro.sat.cnf.CNF` formula."""
 
-    def __init__(
-        self,
-        cnf: CNF | None = None,
-        *,
-        config: SolverConfig | None = None,
-        decay: float | None = None,
-        restart_base: int | None = None,
-        restart_growth: float | None = None,
-    ) -> None:
-        legacy = {
-            "decay": decay,
-            "restart_base": restart_base,
-            "restart_growth": restart_growth,
-        }
-        supplied = {key: value for key, value in legacy.items() if value is not None}
-        if supplied:
-            if config is not None:
-                raise ValueError(
-                    "pass either config=SolverConfig(...) or the legacy "
-                    f"keyword(s) {sorted(supplied)}, not both"
-                )
-            warnings.warn(
-                "CdclSolver(decay=, restart_base=, restart_growth=) is "
-                "deprecated; pass config=SolverConfig(var_decay=..., "
-                "restart_policy='geometric', restart_base=..., "
-                "restart_growth=...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            config = SolverConfig(
-                var_decay=decay if decay is not None else 0.95,
-                restart_policy="geometric",
-                restart_base=restart_base if restart_base is not None else 100,
-                restart_growth=restart_growth if restart_growth is not None else 1.5,
-            )
+    def __init__(self, cnf: CNF | None = None, *, config: SolverConfig | None = None) -> None:
         self.config = config if config is not None else SolverConfig()
 
         self._num_vars = 0
         self._learned: list[Clause] = []
         self._problem: list[Clause] = []
-        # Watch lists are flat arrays indexed by literal code
-        # ``(var << 1) | sign`` holding ``(clause, blocking literal)`` pairs.
-        # Binary clauses live in their own per-literal implication lists
-        # (``falsified literal -> (implied literal, clause)``): their watches
-        # never move, so propagation skips the whole replacement-search dance
-        # — on Tseitin circuit encodings most clauses are binary.
-        self._watches: list[list[tuple[Clause, Literal]]] = [[], []]
-        self._binary: list[list[tuple[Literal, Clause]]] = [[], []]
-        self._assign: list[int] = [_UNASSIGNED]  # index 0 unused
+        # Per-literal tables are indexed by the signed literal itself:
+        # positive literals index the front of each list and negative ones
+        # wrap to its back through Python's negative indexing.
+        # ``_ensure_vars`` doubles the capacity before the two ranges meet;
+        # index 0 is an unused sentinel.
+        #
+        # ``_val[lit]`` is True, False or None (unassigned), and
+        # ``_val[-lit]`` always holds the complement.
+        self._val: list[bool | None] = [None]
+        # ``_watches[lit]`` holds ``(clause, blocking literal)`` pairs for the
+        # clauses watching ``lit``, visited when ``lit`` becomes false.
+        # Binary clauses live in their own implication lists instead
+        # (``_binary[lit]`` holds ``(implied literal, clause)``): their
+        # watches never move, so propagation skips the whole
+        # replacement-search dance — on Tseitin circuit encodings most
+        # clauses are binary.
+        self._watches: list[list[tuple[Clause, Literal]] | None] = [None]
+        self._binary: list[list[tuple[Literal, Clause]] | None] = [None]
         self._level: list[int] = [0]
         self._reason: list[Clause | None] = [None]
         self._phase: list[bool] = [False]
@@ -305,40 +289,48 @@ class CdclSolver:
             self.add_clause(clause)
 
     def add_clause(self, literals: list[Literal]) -> None:
-        """Add a clause; may only be called at decision level 0."""
+        """Add a clause; may only be called at decision level 0.
+
+        Every literal must name a variable in ``1..num_vars`` (grow the space
+        with :meth:`reserve_vars` first); anything else raises ``ValueError``.
+        """
         if self._trail_limits:
             raise RuntimeError("clauses can only be added at decision level 0")
         clause = sorted(set(literals), key=abs)
-        if any(-lit in clause for lit in clause):
-            return  # tautology
-        self._ensure_vars(max((abs(lit) for lit in clause), default=0))
-        clause = [lit for lit in clause if self._literal_value(lit) is not False]
-        if any(self._literal_value(lit) is True for lit in clause):
-            return
-        if not clause:
+        if clause:
+            # Sorted by variable, so the extremes bound every literal.
+            self._check_literal(clause[0])
+            self._check_literal(clause[-1])
+        for index in range(1, len(clause)):
+            if clause[index] == -clause[index - 1]:
+                return  # tautology: x and -x sort next to each other
+        val = self._val
+        kept = []
+        for literal in clause:
+            value = val[literal]
+            if value is None:
+                kept.append(literal)
+            elif value:
+                return  # already satisfied at level 0
+        if not kept:
             self._unsat = True
             return
-        if len(clause) == 1:
-            if not self._enqueue(clause[0], reason=None):
-                self._unsat = True
-            elif self._propagate() is not None:
+        if len(kept) == 1:
+            self._enqueue(kept[0], reason=None)
+            if self._propagate() is not None:
                 self._unsat = True
             return
-        stored = Clause(clause)
+        stored = Clause(kept)
         self._problem.append(stored)
-        if len(stored) == 2:
-            self._watch_binary(stored)
-        else:
-            self._watch(stored[0], stored, stored[1])
-            self._watch(stored[1], stored, stored[0])
+        self._watch(stored)
 
     def reserve_vars(self, num_vars: int) -> None:
         """Grow the variable space to at least ``num_vars`` (idempotent).
 
         Callers that allocate variables externally — e.g. the time-frame
         expansion handing out per-frame blocks and temporal auxiliary
-        variables — must reserve them before using them in assumptions or
-        :meth:`set_phases`; :meth:`add_clause` grows the space implicitly.
+        variables — must reserve them before using them in clauses,
+        assumptions or :meth:`set_phases`.
         """
         if num_vars < 0:
             raise ValueError(f"num_vars must be >= 0, got {num_vars}")
@@ -368,25 +360,48 @@ class CdclSolver:
         """Current learned-clause database size (after any forgetting)."""
         return len(self._learned)
 
+    def _check_literal(self, literal: Literal) -> None:
+        # Literal 0 is the sentinel slot and an out-of-range literal would
+        # alias another variable's complement slot in ``_val``.
+        if literal == 0 or abs(literal) > self._num_vars:
+            raise ValueError(
+                f"literal {literal} is not a literal over variables 1..{self._num_vars}"
+            )
+
     def _ensure_vars(self, num_vars: int) -> None:
-        while self._num_vars < num_vars:
-            self._num_vars += 1
-            self._assign.append(_UNASSIGNED)
-            self._level.append(0)
-            self._reason.append(None)
-            self._phase.append(False)
-            self._watches.append([])
-            self._watches.append([])
-            self._binary.append([])
-            self._binary.append([])
-        self._heap.grow(self._num_vars)
+        old = self._num_vars
+        added = num_vars - old
+        if added <= 0:
+            return
+        capacity = len(self._val)
+        if 2 * num_vars >= capacity:
+            while 2 * num_vars >= capacity:
+                capacity *= 2
+            self._val = _relayout(self._val, old, capacity)
+            self._watches = _relayout(self._watches, old, capacity)
+            self._binary = _relayout(self._binary, old, capacity)
+        watches, binary = self._watches, self._binary
+        for variable in range(old + 1, num_vars + 1):
+            watches[variable], watches[-variable] = [], []
+            binary[variable], binary[-variable] = [], []
+        self._num_vars = num_vars
+        self._level.extend([0] * added)
+        self._reason.extend([None] * added)
+        self._phase.extend([False] * added)
+        self._heap.grow(num_vars)
 
     # ------------------------------------------------------------------
     # Solving
     # ------------------------------------------------------------------
     def solve(self, assumptions: list[Literal] | None = None) -> SolverResult:
-        """Solve the formula under optional assumption literals."""
+        """Solve the formula under optional assumption literals.
+
+        Assumption literals must name variables in ``1..num_vars``; anything
+        else raises ``ValueError``.
+        """
         assumptions = list(assumptions or [])
+        for literal in assumptions:
+            self._check_literal(literal)
         if self._unsat:
             return self._result(False)
         self._backtrack(0)
@@ -448,9 +463,9 @@ class CdclSolver:
             if variable is None:
                 if len(self._trail) > stats.max_trail:
                     stats.max_trail = len(self._trail)
-                model = {
-                    var: self._assign[var] == 1 for var in range(1, self._num_vars + 1)
-                }
+                # Every variable is assigned here, so the slice is all bools.
+                num_vars = self._num_vars
+                model = dict(zip(range(1, num_vars + 1), self._val[1 : num_vars + 1]))
                 if config.verify_models:
                     self._verify_model(model)
                 result = self._result(True, model)
@@ -477,8 +492,9 @@ class CdclSolver:
     # ------------------------------------------------------------------
     def _enqueue_assumptions(self, assumptions: list[Literal]) -> str:
         """Ensure all assumptions are decided; returns 'done'/'enqueued'/'conflict'."""
+        val = self._val
         for literal in assumptions:
-            value = self._literal_value(literal)
+            value = val[literal]
             if value is True:
                 continue
             if value is False:
@@ -488,19 +504,14 @@ class CdclSolver:
             return "enqueued"
         return "done"
 
-    def _literal_value(self, literal: Literal) -> bool | None:
-        assigned = self._assign[abs(literal)]
-        if assigned == _UNASSIGNED:
-            return None
-        value = assigned == 1
-        return value if literal > 0 else not value
-
     def _enqueue(self, literal: Literal, reason: Clause | None) -> bool:
-        value = self._literal_value(literal)
+        val = self._val
+        value = val[literal]
         if value is not None:
             return value
-        variable = abs(literal)
-        self._assign[variable] = 1 if literal > 0 else 0
+        val[literal] = True
+        val[-literal] = False
+        variable = literal if literal > 0 else -literal
         self._level[variable] = len(self._trail_limits)
         self._reason[variable] = reason
         self._phase[variable] = literal > 0
@@ -515,11 +526,13 @@ class CdclSolver:
         the common case — the visited clause is already satisfied elsewhere
         — is a single list lookup with no clause access, and an in-place
         two-pointer sweep compacts each watch list without allocating a
-        replacement.  Unit enqueues are inlined: the watched literal is
+        replacement.  The replacement search tries the third literal before
+        looping, which settles the three-literal Tseitin AND/OR/XOR clauses
+        without a loop.  Unit enqueues are inlined: the watched literal is
         known to be unassigned at that point.
         """
         trail = self._trail
-        assign = self._assign
+        val = self._val
         level = self._level
         reason = self._reason
         phase = self._phase
@@ -532,36 +545,27 @@ class CdclSolver:
         while head < len(trail):
             literal = trail[head]
             head += 1
-            if literal > 0:
-                falsified = -literal
-                code = (literal << 1) | 1
-            else:
-                falsified = -literal
-                code = falsified << 1
-            for implied, clause in binary[code]:
-                variable = implied if implied > 0 else -implied
-                value = assign[variable]
-                if value == _UNASSIGNED:
-                    assign[variable] = 1 if implied > 0 else 0
+            falsified = -literal
+            for implied, clause in binary[falsified]:
+                value = val[implied]
+                if value is None:
+                    val[implied] = True
+                    val[-implied] = False
+                    variable = implied if implied > 0 else -implied
                     level[variable] = current_level
                     reason[variable] = clause
                     phase[variable] = implied > 0
                     trail.append(implied)
-                elif (value == 1) != (implied > 0):
+                elif value is False:
                     self._queue_head = head
                     self._stats.propagations += head - start
                     return clause
-            watch_list = watches[code]
+            watch_list = watches[falsified]
             keep = 0
-            position = 0
-            size = len(watch_list)
-            while position < size:
-                entry = watch_list[position]
-                position += 1
-                blocker = entry[1]
+            unvisited = iter(watch_list)
+            for entry in unvisited:
                 # Blocking literal already true: clause satisfied, keep as-is.
-                blocker_value = assign[blocker if blocker > 0 else -blocker]
-                if blocker_value != _UNASSIGNED and (blocker_value == 1) == (blocker > 0):
+                if val[entry[1]] is True:
                     watch_list[keep] = entry
                     keep += 1
                     continue
@@ -571,67 +575,58 @@ class CdclSolver:
                     clause[0] = clause[1]
                     clause[1] = falsified
                 first = clause[0]
-                first_variable = first if first > 0 else -first
-                first_value = assign[first_variable]
-                if first_value != _UNASSIGNED and (first_value == 1) == (first > 0):
+                first_value = val[first]
+                if first_value is True:
                     watch_list[keep] = (clause, first)
                     keep += 1
                     continue
-                moved = False
-                for alt_index in range(2, len(clause)):
+                alternative = clause[2]
+                if val[alternative] is not False:
+                    clause[1] = alternative
+                    clause[2] = falsified
+                    watches[alternative].append((clause, first))
+                    continue
+                for alt_index in range(3, len(clause)):
                     alternative = clause[alt_index]
-                    alt_value = assign[alternative if alternative > 0 else -alternative]
-                    if alt_value == _UNASSIGNED or (alt_value == 1) == (alternative > 0):
+                    if val[alternative] is not False:
                         clause[1] = alternative
                         clause[alt_index] = falsified
-                        if alternative > 0:
-                            watches[alternative << 1].append((clause, first))
-                        else:
-                            watches[(-alternative << 1) | 1].append((clause, first))
-                        moved = True
+                        watches[alternative].append((clause, first))
                         break
-                if moved:
-                    continue
-                watch_list[keep] = (clause, first)
-                keep += 1
-                if first_value != _UNASSIGNED:
-                    # Conflict: slide the unvisited tail down and stop.
-                    watch_list[keep:] = watch_list[position:size]
-                    self._queue_head = head
-                    self._stats.propagations += head - start
-                    return clause
-                # Unit: ``first`` is unassigned — inline the enqueue.
-                assign[first_variable] = 1 if first > 0 else 0
-                level[first_variable] = current_level
-                reason[first_variable] = clause
-                phase[first_variable] = first > 0
-                trail.append(first)
+                else:
+                    watch_list[keep] = (clause, first)
+                    keep += 1
+                    if first_value is False:
+                        # Conflict: slide the unvisited tail down and stop.
+                        watch_list[keep:] = list(unvisited)
+                        self._queue_head = head
+                        self._stats.propagations += head - start
+                        return clause
+                    # Unit: ``first`` is unassigned — inline the enqueue.
+                    val[first] = True
+                    val[-first] = False
+                    variable = first if first > 0 else -first
+                    level[variable] = current_level
+                    reason[variable] = clause
+                    phase[variable] = first > 0
+                    trail.append(first)
             del watch_list[keep:]
         self._queue_head = head
         self._stats.propagations += head - start
         return None
 
-    def _watch(self, literal: Literal, clause: Clause, blocker: Literal) -> None:
-        if literal > 0:
-            self._watches[literal << 1].append((clause, blocker))
-        else:
-            self._watches[(-literal << 1) | 1].append((clause, blocker))
-
-    def _watch_binary(self, clause: Clause) -> None:
-        """Register a two-literal clause in both implication lists."""
+    def _watch(self, clause: Clause) -> None:
+        """Register a clause under its first two literals."""
         first, second = clause[0], clause[1]
-        for falsified, implied in ((first, second), (second, first)):
-            if falsified > 0:
-                self._binary[falsified << 1].append((implied, clause))
-            else:
-                self._binary[(-falsified << 1) | 1].append((implied, clause))
+        if len(clause) == 2:
+            self._binary[first].append((second, clause))
+            self._binary[second].append((first, clause))
+        else:
+            self._watches[first].append((clause, second))
+            self._watches[second].append((clause, first))
 
     def _unwatch(self, literal: Literal, clause: Clause) -> None:
-        watch_list = (
-            self._watches[literal << 1]
-            if literal > 0
-            else self._watches[(-literal << 1) | 1]
-        )
+        watch_list = self._watches[literal]
         for index, (watched, _) in enumerate(watch_list):
             if watched is clause:
                 watch_list[index] = watch_list[-1]
@@ -644,12 +639,14 @@ class CdclSolver:
     # ------------------------------------------------------------------
     def _analyze(self, conflict: Clause) -> tuple[list[Literal], int, int]:
         """First-UIP analysis: returns (learned clause, backjump level, LBD)."""
+        level = self._level
+        trail = self._trail
         current_level = len(self._trail_limits)
         learned: list[Literal] = []
         seen: set[int] = set()
         counter = 0
         clause: Clause | None = conflict
-        trail_index = len(self._trail) - 1
+        trail_index = len(trail) - 1
         asserting_literal: Literal | None = None
 
         while True:
@@ -657,12 +654,12 @@ class CdclSolver:
             if clause.learned:
                 self._bump_clause(clause)
             for literal in clause:
-                variable = abs(literal)
-                if variable in seen or self._level[variable] == 0:
+                variable = literal if literal > 0 else -literal
+                if variable in seen or level[variable] == 0:
                     continue
                 seen.add(variable)
                 self._bump_activity(variable)
-                if self._level[variable] == current_level:
+                if level[variable] == current_level:
                     counter += 1
                 else:
                     learned.append(literal)
@@ -670,11 +667,11 @@ class CdclSolver:
             # stay marked in ``seen`` once visited so a later reason clause
             # cannot re-introduce (and re-count) an already-resolved variable.
             while True:
-                literal = self._trail[trail_index]
+                literal = trail[trail_index]
                 trail_index -= 1
-                if abs(literal) in seen and self._level[abs(literal)] == current_level:
+                variable = literal if literal > 0 else -literal
+                if variable in seen and level[variable] == current_level:
                     break
-            variable = abs(literal)
             counter -= 1
             if counter == 0:
                 asserting_literal = -literal
@@ -685,8 +682,8 @@ class CdclSolver:
         if len(learned) == 1:
             backjump = 0
         else:
-            backjump = max(self._level[abs(lit)] for lit in learned[1:])
-        lbd = len({self._level[abs(lit)] for lit in learned})
+            backjump = max(level[abs(lit)] for lit in learned[1:])
+        lbd = len({level[abs(lit)] for lit in learned})
         return learned, backjump, lbd
 
     def _handle_learned(self, learned: list[Literal], backjump: int, lbd: int) -> bool:
@@ -703,11 +700,7 @@ class CdclSolver:
         stored = Clause(learned, learned=True, lbd=lbd)
         stored.activity = self._clause_inc
         self._learned.append(stored)
-        if len(stored) == 2:
-            self._watch_binary(stored)
-        else:
-            self._watch(stored[0], stored, stored[1])
-            self._watch(stored[1], stored, stored[0])
+        self._watch(stored)
         return self._enqueue(stored[0], reason=stored)
 
     def _reduce_db(self) -> int:
@@ -772,32 +765,90 @@ class CdclSolver:
     # ------------------------------------------------------------------
     # Internals: decisions, backtracking
     # ------------------------------------------------------------------
-    def _decision_level(self) -> int:
-        return len(self._trail_limits)
-
     def _backtrack(self, level: int) -> None:
-        if len(self._trail_limits) <= level:
+        """Undo every decision level above ``level``.
+
+        One pass over the undone trail slice unassigns each variable and
+        re-inserts it into the branch heap (:meth:`ActivityHeap.push`
+        inlined), in trail order as :meth:`ActivityHeap.push_many` would.
+        """
+        trail_limits = self._trail_limits
+        if len(trail_limits) <= level:
             return
-        limit = self._trail_limits[level]
-        assign = self._assign
+        limit = trail_limits[level]
+        trail = self._trail
+        val = self._val
         reason = self._reason
-        tail = self._trail[limit:]
-        for literal in tail:
+        branch = self._heap
+        heap, pos, act = branch._heap, branch._pos, branch._act
+        for literal in trail[limit:]:
+            val[literal] = None
+            val[-literal] = None
             variable = literal if literal > 0 else -literal
-            assign[variable] = _UNASSIGNED
             reason[variable] = None
-        self._heap.push_many(tail)
-        del self._trail[limit:]
-        del self._trail_limits[level:]
-        self._queue_head = min(self._queue_head, len(self._trail))
+            if pos[variable] >= 0:
+                continue
+            position = len(heap)
+            heap.append(variable)
+            activity = act[variable]
+            while position > 0:
+                parent_position = (position - 1) >> 1
+                parent = heap[parent_position]
+                if act[parent] >= activity:
+                    break
+                heap[position] = parent
+                pos[parent] = position
+                position = parent_position
+            heap[position] = variable
+            pos[variable] = position
+        del trail[limit:]
+        del trail_limits[level:]
+        self._queue_head = min(self._queue_head, len(trail))
 
     def _pick_branch_variable(self) -> int | None:
-        heap = self._heap
-        assign = self._assign
-        while True:
-            variable = heap.pop()
-            if variable is None or assign[variable] == _UNASSIGNED:
-                return variable
+        """Pop the most active unassigned variable; None once all are assigned.
+
+        :meth:`ActivityHeap.pop` is inlined, and assigned variables met on
+        the way are dropped (lazy deletion).  When the trail already assigns
+        every variable, the heap is emptied in one sweep instead: popping it
+        empty reaches the same state, one sift per entry later.
+        """
+        branch = self._heap
+        heap, pos = branch._heap, branch._pos
+        if len(self._trail) == self._num_vars:
+            for variable in heap:
+                pos[variable] = -1
+            heap.clear()
+            return None
+        act = branch._act
+        val = self._val
+        while heap:
+            top = heap[0]
+            pos[top] = -1
+            last = heap.pop()
+            if heap:
+                # Sift ``last`` down from the root.
+                size = len(heap)
+                activity = act[last]
+                position = 0
+                while True:
+                    child_position = 2 * position + 1
+                    if child_position >= size:
+                        break
+                    right = child_position + 1
+                    if right < size and act[heap[right]] > act[heap[child_position]]:
+                        child_position = right
+                    child = heap[child_position]
+                    if activity >= act[child]:
+                        break
+                    heap[position] = child
+                    pos[child] = position
+                    position = child_position
+                heap[position] = last
+                pos[last] = position
+            if val[top] is None:
+                return top
+        return None
 
     def _result(self, satisfiable: bool, model: dict[int, bool] | None = None) -> SolverResult:
         snapshot = self.stats()

@@ -11,6 +11,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sat.cnf import CNF
 from repro.sat.heap import ActivityHeap
@@ -113,17 +114,11 @@ class TestSolverConfig:
         with pytest.raises(AttributeError):
             SolverConfig().var_decay = 0.5
 
-    def test_legacy_kwargs_deprecated(self):
-        cnf = CNF(num_vars=1, clauses=[[1]])
-        with pytest.warns(DeprecationWarning):
-            solver = CdclSolver(cnf, decay=0.9, restart_base=50)
-        assert solver.config.var_decay == 0.9
-        assert solver.config.restart_policy == "geometric"
-        assert solver.solve().satisfiable
-
-    def test_legacy_kwargs_conflict_with_config(self):
-        with pytest.raises(ValueError):
-            CdclSolver(config=SolverConfig(), decay=0.9)
+    def test_legacy_kwargs_removed(self):
+        # The loose tuning keywords expired; SolverConfig is the only surface.
+        for keyword in ("decay", "restart_base", "restart_growth"):
+            with pytest.raises(TypeError):
+                CdclSolver(CNF(num_vars=1, clauses=[[1]]), **{keyword: 0.9})
 
 
 class TestSolverStats:
@@ -368,6 +363,106 @@ class TestDifferentialFuzz:
         assert first.satisfiable == second.satisfiable
         if first.satisfiable:
             assert first.model == second.model
+
+
+class TestLiteralBounds:
+    """Literal 0 and variables beyond ``num_vars`` are rejected, not aliased.
+
+    In the literal-indexed value list, slot 0 is the sentinel and slot
+    ``-v`` of an unreserved ``v`` belongs to another variable's complement.
+    """
+
+    @staticmethod
+    def _solver() -> CdclSolver:
+        return CdclSolver(CNF(num_vars=2, clauses=[[1, 2]]))
+
+    def test_solve_rejects_literal_zero(self):
+        solver = self._solver()
+        with pytest.raises(ValueError):
+            solver.solve([0])
+        assert solver._val[0] is None
+        assert solver.solve().satisfiable
+
+    @pytest.mark.parametrize("literal", [3, 5, -5])
+    def test_solve_rejects_unreserved_variable(self, literal):
+        solver = self._solver()
+        with pytest.raises(ValueError):
+            solver.solve([1, literal])
+        assert_value_layout(solver)
+        assert not solver.solve([-1, -2]).satisfiable
+
+    @pytest.mark.parametrize("clause", [[0], [1, 0], [3], [-1, -3], [3, -3]])
+    def test_add_clause_rejects_out_of_range(self, clause):
+        solver = self._solver()
+        with pytest.raises(ValueError):
+            solver.add_clause(clause)
+        assert solver.num_learned == 0
+        solver.reserve_vars(3)
+        solver.add_clause([-3])
+        result = solver.solve()
+        assert result.satisfiable and result.model[3] is False
+
+
+MAX_PROPERTY_VARS = 8
+
+
+def assert_value_layout(solver: CdclSolver) -> None:
+    """``val[v]``/``val[-v]`` are complementary or both unassigned; spare slots stay empty."""
+    val = solver._val
+    num_vars = solver._num_vars
+    assert 2 * num_vars < len(val)
+    for variable in range(1, num_vars + 1):
+        value = val[variable]
+        if value is None:
+            assert val[-variable] is None, f"var {variable}: complement set alone"
+            # Lazy deletion keeps every unassigned variable branchable.
+            assert variable in solver._heap, f"unassigned var {variable} left the heap"
+        else:
+            assert val[-variable] is (not value), f"var {variable}: slots disagree"
+    assert val[0] is None
+    assert all(value is None for value in val[num_vars + 1 : len(val) - num_vars])
+
+
+def literals(num_vars: int):
+    return st.builds(
+        lambda variable, positive: variable if positive else -variable,
+        st.integers(1, num_vars),
+        st.booleans(),
+    )
+
+
+class TestInterleavedGrowth:
+    """Incremental use as the temporal path drives it: grow, add, solve, repeat."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data(), initial_vars=st.integers(0, 3))
+    def test_growth_between_solves_matches_oracle(self, data, initial_vars):
+        solver = CdclSolver()
+        solver.reserve_vars(initial_vars)
+        cnf = CNF(num_vars=initial_vars)
+        for _ in range(data.draw(st.integers(1, 20), label="steps")):
+            action = data.draw(st.sampled_from(["reserve", "clause", "clause", "solve"]))
+            num_vars = cnf.num_vars
+            if action == "reserve" or num_vars == 0:
+                grown = num_vars + data.draw(st.integers(0, MAX_PROPERTY_VARS - num_vars))
+                solver.reserve_vars(grown)
+                cnf.num_vars = grown
+            elif action == "clause":
+                clause = data.draw(st.lists(literals(num_vars), min_size=1, max_size=3))
+                solver.add_clause(clause)
+                cnf.add_clause(clause)
+            else:
+                assumptions = data.draw(st.lists(literals(num_vars), max_size=2))
+                result = solver.solve(assumptions)
+                constrained = cnf.copy()
+                for literal in assumptions:
+                    constrained.add_clause([literal])
+                assert result.satisfiable == brute_force_satisfiable(constrained)
+                if result.satisfiable:
+                    for clause in constrained.clauses:
+                        assert any(result.value(abs(lit)) == (lit > 0) for lit in clause)
+            solver._heap.check_invariants()
+            assert_value_layout(solver)
 
 
 class TestPublicSurface:
