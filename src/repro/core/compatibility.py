@@ -113,7 +113,6 @@ def compute_compatibility(
     n_jobs: int = 1,
     justifier: Justifier | None = None,
     cache: ArtifactCache | None | object = _DEFAULT_CACHE,
-    n_workers: int | None = None,
 ) -> CompatibilityAnalysis:
     """Build the :class:`CompatibilityAnalysis` for ``rare_nets`` of ``netlist``.
 
@@ -130,8 +129,6 @@ def compute_compatibility(
         cache: artifact cache for memoising the result on disk; defaults to
             the process-wide cache (:func:`repro.runner.cache
             .get_default_cache`), pass ``None`` to disable.
-        n_workers: deprecated alias for ``n_jobs`` (paper-parity name kept
-            from the original serial interface).
 
     The boolean matrix is bit-identical across all execution paths (serial,
     sharded, cache hit).  Downstream SAT *witnesses* are not guaranteed
@@ -140,12 +137,6 @@ def compute_compatibility(
     different state than a fresh one (cache hit / sharded path), and may
     return different — equally valid — models for the same requirements.
     """
-    if n_workers is not None:
-        # The legacy alias keeps its original strict contract (>= 1); the
-        # n_jobs spelling additionally allows <= 0 as "one worker per CPU".
-        if n_workers < 1:
-            raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-        n_jobs = n_workers
     if cache is _DEFAULT_CACHE:
         cache = get_default_cache()
 

@@ -52,8 +52,20 @@ class CircuitEncoder:
         return variable if value == 1 else -variable
 
     def assumptions_for(self, assignment: dict[str, int]) -> list[Literal]:
-        """Assumption literals for a net-name -> value mapping."""
-        return [self.literal(net, value) for net, value in assignment.items()]
+        """Assumption literals for a net-name -> value mapping.
+
+        Reads the net table directly (this runs once per SAT query); a bad
+        net or value takes the :meth:`literal` path for its typed error.
+        """
+        var_of_net = self._var_of_net
+        literals = []
+        for net, value in assignment.items():
+            variable = var_of_net.get(net)
+            if variable is not None and (value == 1 or value == 0):
+                literals.append(variable if value == 1 else -variable)
+            else:
+                literals.append(self.literal(net, value))
+        return literals
 
     def decode_inputs(self, model: dict[int, bool]) -> dict[str, int]:
         """Extract the input-pattern part of a SAT model."""

@@ -190,21 +190,13 @@ class SolverResult:
         return self.model.get(variable, False)
 
 
-class Clause(list):
-    """A clause: a literal list with learned-clause metadata riding along.
-
-    Subclassing ``list`` keeps literal access as fast as the raw lists the
-    propagation loop indexes (``clause[0]``/``clause[1]`` are the watched
-    literals) while giving the clause database a place for LBD and activity.
-    """
-
-    __slots__ = ("learned", "lbd", "activity")
-
-    def __init__(self, literals, learned: bool = False, lbd: int = 0) -> None:
-        super().__init__(literals)
-        self.learned = learned
-        self.lbd = lbd
-        self.activity = 0.0
+#: A clause is a plain ``list`` of literals; ``clause[0]``/``clause[1]`` are
+#: its watched literals.  It is not a subclass: CPython specialises indexing
+#: (``BINARY_SUBSCR``/``STORE_SUBSCR``) for exact lists only, and a subclass
+#: makes every ``clause[i]`` in the propagation loop take the slow generic
+#: path.  Learned-clause metadata lives beside the clause, in
+#: :attr:`CdclSolver._learned_meta`.
+Clause = list[Literal]
 
 
 def luby(index: int) -> int:
@@ -245,6 +237,11 @@ class CdclSolver:
         self._num_vars = 0
         self._learned: list[Clause] = []
         self._problem: list[Clause] = []
+        # ``id(clause) -> [lbd, activity]`` for every clause in ``_learned``
+        # and nothing else: membership is the "is learned" test.  Entries
+        # leave with their clause in ``_reduce_db``, so a stale id can never
+        # alias a newly allocated list.
+        self._learned_meta: dict[int, list] = {}
         # Per-literal tables are indexed by the signed literal itself:
         # positive literals index the front of each list and negative ones
         # wrap to its back through Python's negative indexing.
@@ -320,9 +317,8 @@ class CdclSolver:
             if self._propagate() is not None:
                 self._unsat = True
             return
-        stored = Clause(kept)
-        self._problem.append(stored)
-        self._watch(stored)
+        self._problem.append(kept)
+        self._watch(kept)
 
     def reserve_vars(self, num_vars: int) -> None:
         """Grow the variable space to at least ``num_vars`` (idempotent).
@@ -353,7 +349,18 @@ class CdclSolver:
 
     def stats(self) -> SolverStats:
         """Snapshot of the cumulative solver counters (an independent copy)."""
-        return replace(self._stats)
+        # Built field by field: ``dataclasses.replace`` takes twice as long,
+        # and every query returns a snapshot.
+        stats = self._stats
+        return SolverStats(
+            conflicts=stats.conflicts,
+            decisions=stats.decisions,
+            propagations=stats.propagations,
+            restarts=stats.restarts,
+            learned_clauses=stats.learned_clauses,
+            deleted_clauses=stats.deleted_clauses,
+            max_trail=stats.max_trail,
+        )
 
     @property
     def num_learned(self) -> int:
@@ -400,8 +407,10 @@ class CdclSolver:
         else raises ``ValueError``.
         """
         assumptions = list(assumptions or [])
+        num_vars = self._num_vars
         for literal in assumptions:
-            self._check_literal(literal)
+            if not (literal and -num_vars <= literal <= num_vars):
+                self._check_literal(literal)
         if self._unsat:
             return self._result(False)
         self._backtrack(0)
@@ -464,7 +473,6 @@ class CdclSolver:
                 if len(self._trail) > stats.max_trail:
                     stats.max_trail = len(self._trail)
                 # Every variable is assigned here, so the slice is all bools.
-                num_vars = self._num_vars
                 model = dict(zip(range(1, num_vars + 1), self._val[1 : num_vars + 1]))
                 if config.verify_models:
                     self._verify_model(model)
@@ -561,6 +569,8 @@ class CdclSolver:
                     self._stats.propagations += head - start
                     return clause
             watch_list = watches[falsified]
+            if not watch_list:
+                continue
             keep = 0
             unvisited = iter(watch_list)
             for entry in unvisited:
@@ -586,13 +596,16 @@ class CdclSolver:
                     clause[2] = falsified
                     watches[alternative].append((clause, first))
                     continue
-                for alt_index in range(3, len(clause)):
+                alt_index = 3
+                size = len(clause)
+                while alt_index < size:
                     alternative = clause[alt_index]
                     if val[alternative] is not False:
                         clause[1] = alternative
                         clause[alt_index] = falsified
                         watches[alternative].append((clause, first))
                         break
+                    alt_index += 1
                 else:
                     watch_list[keep] = (clause, first)
                     keep += 1
@@ -641,6 +654,7 @@ class CdclSolver:
         """First-UIP analysis: returns (learned clause, backjump level, LBD)."""
         level = self._level
         trail = self._trail
+        learned_meta = self._learned_meta
         current_level = len(self._trail_limits)
         learned: list[Literal] = []
         seen: set[int] = set()
@@ -651,8 +665,9 @@ class CdclSolver:
 
         while True:
             assert clause is not None
-            if clause.learned:
-                self._bump_clause(clause)
+            meta = learned_meta.get(id(clause))
+            if meta is not None:
+                self._bump_clause(meta)
             for literal in clause:
                 variable = literal if literal > 0 else -literal
                 if variable in seen or level[variable] == 0:
@@ -697,11 +712,10 @@ class CdclSolver:
         # re-triggers a visit of this clause.
         deepest = max(range(1, len(learned)), key=lambda i: self._level[abs(learned[i])])
         learned[1], learned[deepest] = learned[deepest], learned[1]
-        stored = Clause(learned, learned=True, lbd=lbd)
-        stored.activity = self._clause_inc
-        self._learned.append(stored)
-        self._watch(stored)
-        return self._enqueue(stored[0], reason=stored)
+        self._learned_meta[id(learned)] = [lbd, self._clause_inc]
+        self._learned.append(learned)
+        self._watch(learned)
+        return self._enqueue(learned[0], reason=learned)
 
     def _reduce_db(self) -> int:
         """Forget the worst learned clauses; returns how many were deleted.
@@ -717,26 +731,26 @@ class CdclSolver:
           cross-level dependencies and are cheap to keep,
         - **binary clauses**, whose watch cost is negligible.
         """
-        locked = {
-            id(reason) for reason in self._reason if reason is not None and reason.learned
-        }
+        meta = self._learned_meta
+        locked = {id(reason) for reason in self._reason if id(reason) in meta}
         config = self.config
         forgettable = [
             clause
             for clause in self._learned
             if id(clause) not in locked
-            and clause.lbd > config.glue_lbd
+            and meta[id(clause)][0] > config.glue_lbd
             and len(clause) > 2
         ]
         victims = int(len(forgettable) * config.reduce_fraction)
         if victims == 0:
             self._reduce_limit += config.reduce_growth
             return 0
-        forgettable.sort(key=lambda clause: (-clause.lbd, clause.activity))
+        forgettable.sort(key=lambda clause: (-meta[id(clause)][0], meta[id(clause)][1]))
         doomed = {id(clause) for clause in forgettable[:victims]}
         for clause in forgettable[:victims]:
             self._unwatch(clause[0], clause)
             self._unwatch(clause[1], clause)
+            del meta[id(clause)]
         self._learned = [clause for clause in self._learned if id(clause) not in doomed]
         self._stats.deleted_clauses += victims
         self._reduce_limit += config.reduce_growth
@@ -755,11 +769,12 @@ class CdclSolver:
             self._heap.rescale(_ACTIVITY_RESCALE)
             self._var_inc *= _ACTIVITY_RESCALE
 
-    def _bump_clause(self, clause: Clause) -> None:
-        clause.activity += self._clause_inc
-        if clause.activity > _CLAUSE_ACTIVITY_LIMIT:
-            for learned in self._learned:
-                learned.activity *= _CLAUSE_ACTIVITY_RESCALE
+    def _bump_clause(self, meta: list) -> None:
+        """Bump a learned clause's activity, given its ``[lbd, activity]`` entry."""
+        meta[1] += self._clause_inc
+        if meta[1] > _CLAUSE_ACTIVITY_LIMIT:
+            for entry in self._learned_meta.values():
+                entry[1] *= _CLAUSE_ACTIVITY_RESCALE
             self._clause_inc *= _CLAUSE_ACTIVITY_RESCALE
 
     # ------------------------------------------------------------------

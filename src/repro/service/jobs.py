@@ -34,6 +34,7 @@ from typing import Any, Mapping
 from repro.circuits.bench_io import loads_bench
 from repro.circuits.library import benchmark_suite, load_benchmark, register_netlist
 from repro.circuits.netlist import Netlist
+from repro.circuits.validate import validate_netlist
 from repro.runner.cache import config_fingerprint, get_default_cache, netlist_fingerprint
 from repro.runner.registry import get_experiment
 
@@ -78,7 +79,9 @@ def validate_job(payload: Mapping[str, Any]) -> JobRequest:
 
     Raises :class:`JobValidationError` with a client-appropriate message on
     any problem: unknown experiment/profile, reserved or unknown options,
-    an unparsable netlist, or a harness that takes no submitted designs.
+    an unparsable netlist, a netlist :func:`~repro.circuits.validate
+    .validate_netlist` reports errors for (undriven nets, combinational
+    cycles), or a harness that takes no submitted designs.
     The returned request carries the parsed netlist and the design name it
     resolves to is decided later (worker side) by :func:`resolve_design`.
     """
@@ -131,6 +134,9 @@ def validate_job(payload: Mapping[str, Any]) -> JobRequest:
         netlist = loads_bench(bench, name="submitted")
     except ValueError as error:
         raise JobValidationError(f"invalid .bench netlist: {error}") from None
+    report = validate_netlist(netlist)
+    if not report.ok:
+        raise JobValidationError(f"invalid netlist: {'; '.join(report.errors)}")
     if not netlist.nets:
         raise JobValidationError("submitted netlist is empty")
     request = JobRequest(

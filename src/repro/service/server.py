@@ -337,7 +337,11 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             self._reply(400, {"error": f"request body is not valid JSON: {error}"})
             return
         parent = TraceContext.from_traceparent(self.headers.get("traceparent"))
-        self._reply(*self.server.service.submit(payload, parent=parent))
+        try:
+            status, reply = self.server.service.submit(payload, parent=parent)
+        except Exception as error:  # noqa: BLE001 - answer, never drop the connection
+            status, reply = 500, {"error": f"internal error: {type(error).__name__}: {error}"}
+        self._reply(status, reply)
 
     # ------------------------------------------------------------------
     def _reply(self, status: int, body: dict[str, Any]) -> None:

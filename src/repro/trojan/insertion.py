@@ -33,6 +33,22 @@ from repro.trojan.model import (
 from repro.utils.rng import RngLike, make_rng
 
 
+def _check_distinct_nets(rare_nets: list[RareNet]) -> None:
+    """Reject a rare-net list that names a net twice (no trigger could use both)."""
+    if len({item.net for item in rare_nets}) != len(rare_nets):
+        raise ValueError("rare_nets names a net more than once")
+
+
+def _requirements(chosen: list[RareNet]) -> dict[str, int]:
+    """The SAT check's assignment for a candidate trigger, in draw order.
+
+    The same mapping as ``TriggerCondition.from_rare_nets(chosen)
+    .as_assignment()``, without building a condition for the candidates
+    the check rejects (most of them, on the sequential designs).
+    """
+    return {item.net: item.rare_value for item in chosen}
+
+
 def sample_trojans(
     netlist: Netlist,
     rare_nets: list[RareNet],
@@ -47,10 +63,11 @@ def sample_trojans(
     Every sampled trigger is validated with a SAT check (invalid candidates
     are re-drawn); duplicate trigger sets are avoided.  If the circuit cannot
     support ``num_trojans`` distinct valid triggers within the attempt budget,
-    as many as exist are returned.
+    as many as exist are returned.  ``rare_nets`` must name each net once.
     """
     if trigger_width <= 0:
         raise ValueError(f"trigger_width must be positive, got {trigger_width}")
+    _check_distinct_nets(rare_nets)
     if len(rare_nets) < trigger_width:
         return []
     rng = make_rng(seed)
@@ -64,12 +81,10 @@ def sample_trojans(
         chosen_indices = rng.choice(len(rare_nets), size=trigger_width, replace=False)
         chosen = [rare_nets[int(index)] for index in chosen_indices]
         key = frozenset(item.net for item in chosen)
-        if key in seen:
-            continue
-        trigger = TriggerCondition.from_rare_nets(chosen)
-        if not justifier.is_satisfiable(trigger.as_assignment()):
+        if key in seen or not justifier.is_satisfiable(_requirements(chosen)):
             continue
         seen.add(key)
+        trigger = TriggerCondition.from_rare_nets(chosen)
         payload_output = str(outputs[int(rng.integers(len(outputs)))])
         trojans.append(
             Trojan(
@@ -159,6 +174,7 @@ def sample_sequential_trojans(
     """
     if trigger_width <= 0:
         raise ValueError(f"trigger_width must be positive, got {trigger_width}")
+    _check_distinct_nets(rare_nets)
     if not netlist.is_sequential:
         raise ValueError(
             f"sequential Trojan sampling requires flip-flops; {netlist.name!r} "
@@ -184,12 +200,10 @@ def sample_sequential_trojans(
         chosen_indices = rng.choice(len(rare_nets), size=trigger_width, replace=False)
         chosen = [rare_nets[int(index)] for index in chosen_indices]
         key = frozenset(item.net for item in chosen)
-        if key in seen:
-            continue
-        condition = TriggerCondition.from_rare_nets(chosen)
-        if not justifier.is_satisfiable(condition.as_assignment()):
+        if key in seen or not justifier.is_satisfiable(_requirements(chosen)):
             continue
         seen.add(key)
+        condition = TriggerCondition.from_rare_nets(chosen)
         payload = str(eligible_payloads[int(rng.integers(len(eligible_payloads)))])
         trojans.append(
             SequentialTrojan(

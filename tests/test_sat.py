@@ -207,6 +207,19 @@ class TestCircuitEncoder:
         with pytest.raises(ValueError):
             encoder.literal("22", 2)
 
+    def test_assumptions_match_literals_and_keep_typed_errors(self, c17):
+        encoder = CircuitEncoder(c17)
+        assignment = {"22": 1, "10": 0, "1": True, "23": 0}
+        assert encoder.assumptions_for(assignment) == [
+            encoder.literal(net, value) for net, value in assignment.items()
+        ]
+        with pytest.raises(KeyError):
+            encoder.assumptions_for({"22": 1, "nope": 1})
+        with pytest.raises(ValueError):
+            encoder.assumptions_for({"22": 2})
+        with pytest.raises(ValueError):
+            encoder.assumptions_for({"nope": 2})
+
     def test_encoding_consistent_with_simulation(self, c17):
         """Every satisfying model of the CNF must agree with the simulator."""
         encoder = CircuitEncoder(c17)

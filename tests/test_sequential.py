@@ -29,7 +29,7 @@ from repro.simulation.compiled import (
 )
 from repro.simulation.logic_sim import simulate_sequences
 from repro.simulation.probability import estimate_sequential_signal_probabilities
-from repro.simulation.rare_nets import extract_rare_nets
+from repro.simulation.rare_nets import RareNet, extract_rare_nets
 from repro.trojan.evaluation import (
     sequence_ground_truth_coverage,
     sequence_trigger_coverage,
@@ -305,6 +305,14 @@ class TestSequenceCoverageParity:
             assert trojan.trigger.mode == "cumulative"
             assert trojan.trigger.count == 2
             assert trojan.width == 3
+
+    def test_sampling_rejects_duplicate_rare_nets(self, controller):
+        rare = extract_rare_nets(controller, threshold=0.2, num_patterns=256, seed=0, cycles=4)
+        twin = RareNet(rare[0].net, 1 - rare[0].rare_value, 1 - rare[0].probability)
+        with pytest.raises(ValueError, match="more than once"):
+            sample_sequential_trojans(
+                controller, [rare[0], twin], num_trojans=1, trigger_width=1
+            )
 
     def test_sampling_rejects_combinational(self):
         from repro.circuits import generators

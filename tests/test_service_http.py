@@ -60,6 +60,22 @@ def seq_payload(**overrides) -> dict:
     return payload
 
 
+#: Parses as .bench, but ``x`` and ``y`` feed each other.
+CYCLIC_BENCH = """INPUT(a)
+INPUT(b)
+OUTPUT(z)
+x = AND(a, y)
+y = OR(b, x)
+z = NOT(x)
+"""
+
+#: Parses as .bench, but the AND gate reads a net nothing drives.
+UNDRIVEN_BENCH = """INPUT(a)
+OUTPUT(z)
+z = AND(a, ghost)
+"""
+
+
 def strip_elapsed(cells: list[dict]) -> list[dict]:
     """Cells without wall-clock timing — the bit-identical part."""
     return [
@@ -112,6 +128,14 @@ class TestValidateJob:
     def test_rejects_unparsable_bench_text(self):
         with pytest.raises(JobValidationError, match="invalid .bench netlist"):
             validate_job(seq_payload(bench="INPUT(\nnot bench at all"))
+
+    def test_rejects_a_cyclic_netlist(self):
+        with pytest.raises(JobValidationError, match="combinational cycle"):
+            validate_job(seq_payload(bench=CYCLIC_BENCH))
+
+    def test_rejects_a_netlist_with_an_undriven_gate_input(self):
+        with pytest.raises(JobValidationError, match="'ghost' has no driver"):
+            validate_job(seq_payload(bench=UNDRIVEN_BENCH))
 
     def test_rejects_a_netlist_the_harness_grid_rejects(self):
         # c17 is combinational; the sequential harness's own cells()
@@ -230,6 +254,31 @@ class TestHTTPEndpoints:
         assert status == 400
         assert "unknown experiment" in body["error"]
         assert service.counters["jobs_invalid"] == 1
+
+    def test_structurally_invalid_netlists_are_400(self, service_url):
+        url, service = service_url
+        for bench, message in (
+            (CYCLIC_BENCH, "combinational cycle"),
+            (UNDRIVEN_BENCH, "has no driver"),
+        ):
+            status, body = http_json(url + "/jobs", payload=seq_payload(bench=bench))
+            assert status == 400
+            assert message in body["error"]
+        assert service.counters["jobs_invalid"] == 2
+        assert http_json(url + "/healthz")[1]["queued"] == 0
+
+    def test_an_unexpected_submit_error_is_a_json_500(self, service_url, monkeypatch):
+        url, service = service_url
+
+        def broken_submit(payload, parent=None):
+            raise RuntimeError("disk on fire")
+
+        monkeypatch.setattr(service, "submit", broken_submit)
+        status, body = http_json(url + "/jobs", payload=seq_payload())
+        assert status == 500
+        assert "RuntimeError: disk on fire" in body["error"]
+        # The server keeps answering after the failure.
+        assert http_json(url + "/healthz")[0] == 200
 
     def test_full_job_round_trip_matches_local_serial_run(
         self, service_url, tmp_path

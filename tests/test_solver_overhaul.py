@@ -265,10 +265,13 @@ class TestClauseForgetting:
             victims = original(self)
             reductions.append(victims)
             # The pinning contract: no reason clause of any assigned
-            # variable may leave the database.
+            # variable may leave the database.  A reason that is not a
+            # problem clause is learned; asking the side table instead would
+            # let a reason deleted together with its entry pass unseen.
             alive = {id(clause) for clause in self._learned}
+            problem = {id(clause) for clause in self._problem}
             for reason in self._reason:
-                if reason is not None and reason.learned:
+                if reason is not None and id(reason) not in problem:
                     assert id(reason) in alive, "reduction deleted a reason clause"
             return victims
 
@@ -285,6 +288,42 @@ class TestClauseForgetting:
         assert not solver.solve().satisfiable
         assert sum(solver._observed_reductions) > 0
         assert solver.stats().deleted_clauses == sum(solver._observed_reductions)
+
+    def test_reduction_mid_search_keeps_learned_reasons(self):
+        # Reductions normally run right after a restart, where only level-0
+        # literals have reasons; reduce here with decisions on the trail.
+        rng = np.random.default_rng(3)
+        cnf = CNF(num_vars=60)
+        for _ in range(246):
+            variables = rng.choice(60, size=3, replace=False) + 1
+            cnf.add_clause([int(v) if rng.random() < 0.5 else -int(v) for v in variables])
+        solver = CdclSolver(
+            cnf, config=SolverConfig(reduce_base=10**6, reduce_fraction=1.0, glue_lbd=0)
+        )
+        result = solver.solve()
+        assert result.satisfiable
+
+        def long_learned_reasons():
+            return [
+                reason for reason in solver._reason
+                if reason is not None and id(reason) in solver._learned_meta and len(reason) > 2
+            ]
+
+        # Decide along the model, so propagation cannot conflict, until a
+        # learned clause that only its reason role pins is a reason.
+        for variable in range(1, cnf.num_vars + 1):
+            if solver._val[variable] is None:
+                solver._trail_limits.append(len(solver._trail))
+                solver._enqueue(variable if result.model[variable] else -variable, reason=None)
+                assert solver._propagate() is None
+                if long_learned_reasons():
+                    break
+        reasons = long_learned_reasons()
+        assert reasons
+        assert solver._reduce_db() > 0
+        alive = {id(clause) for clause in solver._learned}
+        assert all(id(reason) in alive for reason in reasons)
+        assert set(solver._learned_meta) == alive
 
     def test_reduction_keeps_answers_correct_under_assumptions(self, monkeypatch):
         config = SolverConfig(restart_base=1, reduce_base=1, reduce_growth=0)
@@ -316,11 +355,25 @@ class TestClauseForgetting:
         solver = CdclSolver(cnf, config=config)
         assert not solver.solve().satisfiable
         for clause in solver._learned:
-            assert clause.learned
+            assert id(clause) in solver._learned_meta
             # Whatever survived reduction is either pinned glue/binary or
             # above the forgetting threshold by construction of _reduce_db;
             # sanity-check the metadata is populated.
-            assert clause.lbd >= 1
+            lbd, _activity = solver._learned_meta[id(clause)]
+            assert lbd >= 1
+
+    def test_side_table_tracks_live_learned_clauses_exactly(self, monkeypatch):
+        config = SolverConfig(
+            restart_base=1, reduce_base=1, reduce_growth=0,
+            reduce_fraction=1.0, glue_lbd=0,
+        )
+        solver = self._hard_solver(config, monkeypatch)
+        assert not solver.solve().satisfiable
+        assert sum(solver._observed_reductions) > 0
+        # A stale entry would outlive its clause, and its id could then be
+        # reused by a fresh list that the solver would take for learned.
+        assert set(solver._learned_meta) == {id(clause) for clause in solver._learned}
+        assert len(solver._learned_meta) == len(solver._learned)
 
 
 class TestDifferentialFuzz:

@@ -6,6 +6,7 @@ import pytest
 from repro.circuits.validate import validate_netlist
 from repro.core.patterns import PatternSet
 from repro.simulation.logic_sim import BitParallelSimulator, simulate_pattern
+from repro.simulation.rare_nets import RareNet
 from repro.trojan.evaluation import coverage_curve, trigger_coverage
 from repro.trojan.insertion import insert_trojan, sample_trojans
 from repro.trojan.model import Trojan, TriggerCondition
@@ -64,6 +65,14 @@ class TestSampling:
     def test_invalid_width_rejected(self, small_multiplier, multiplier_rare_nets):
         with pytest.raises(ValueError):
             sample_trojans(small_multiplier, multiplier_rare_nets, trigger_width=0)
+
+    def test_duplicate_rare_net_rejected_up_front(self, small_multiplier, multiplier_rare_nets):
+        # Width 1 never draws both copies into one trigger, so only a check
+        # made before sampling can see the duplicate.
+        rare = multiplier_rare_nets[0]
+        flipped = RareNet(rare.net, 1 - rare.rare_value, 1 - rare.probability)
+        with pytest.raises(ValueError, match="more than once"):
+            sample_trojans(small_multiplier, [rare, flipped], num_trojans=1, trigger_width=1)
 
     def test_sampling_deterministic_for_seed(self, small_multiplier, multiplier_compatibility):
         first = sample_trojans(small_multiplier, multiplier_compatibility.rare_nets,
