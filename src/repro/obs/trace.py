@@ -113,17 +113,20 @@ class Span:
     def set_attr(self, key: str, value) -> None:
         self.attrs[key] = value
 
-    def end(self, status: str = "ok") -> None:
+    def end(self, status: str = "ok", at: float | None = None) -> None:
+        """Emit the span; ``at`` is the ``time.perf_counter()`` reading at
+        which the work ended, when that was before this call (default: now)."""
         if self._ended:
             return
         self._ended = True
+        end_perf = time.perf_counter() if at is None else at
         record = {
             "name": self.name,
             "trace_id": self.trace_id,
             "span_id": self.span_id,
             "parent_id": self.parent_id,
             "start": self.start_time,
-            "dur_s": time.perf_counter() - self._start_perf,
+            "dur_s": end_perf - self._start_perf,
             "status": status,
             "pid": os.getpid(),
             "attrs": self.attrs,
@@ -142,7 +145,7 @@ class _NoopSpan:
     def set_attr(self, key, value):
         pass
 
-    def end(self, status: str = "ok"):
+    def end(self, status: str = "ok", at: float | None = None):
         pass
 
 

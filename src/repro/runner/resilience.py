@@ -364,9 +364,17 @@ def run_tasks(
                 abandoned = False
                 try:
                     futures: list[tuple[int, Future | None, Any]] = []
+                    # ``time.perf_counter()`` at which each task's future
+                    # resolved, stamped by a done-callback.  A pool runs the
+                    # callback just after waking ``result()``, so a stamp can
+                    # still be missing when read; that span ends at the read.
+                    resolved_at: dict[int, float] = {}
                     for index in pending:
                         outcome.attempts[index] += 1
-                        # Submit-to-resolve span: its duration includes queue
+                        # Submit-to-resolve span: it ends when this task's own
+                        # future resolves, not when the loop below reaches it
+                        # (the serial backend resolves every future inside
+                        # ``submit``).  On a pool its duration includes queue
                         # wait, and its context is what the worker's span
                         # parents on.
                         task_span = obs.trace.start_span(
@@ -386,6 +394,12 @@ def run_tasks(
                         except BrokenExecutor:
                             # The pool died while we were still feeding it.
                             future = None
+                        else:
+                            future.add_done_callback(
+                                lambda _, index=index: resolved_at.__setitem__(
+                                    index, time.perf_counter()
+                                )
+                            )
                         futures.append((index, future, task_span))
 
                     wait_timeout = policy.timeout if active.supports_timeout else None
@@ -419,7 +433,7 @@ def run_tasks(
                                 failure = "corrupt"
                         if failure is None:
                             outcome.results[index] = value
-                            task_span.end()
+                            task_span.end(at=resolved_at.get(index))
                             continue
                         kind = failure.split(":", 1)[0]
                         if kind == "timeout":
@@ -437,7 +451,7 @@ def run_tasks(
                             f"{active.name}: {failure}"
                         )
                         task_span.set_attr("failure", failure)
-                        task_span.end(status=kind)
+                        task_span.end(status=kind, at=resolved_at.get(index))
                         still_pending.append(index)
                 finally:
                     _collect_backend_counters(executor, outcome)

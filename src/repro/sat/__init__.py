@@ -22,6 +22,7 @@ from repro.sat.heap import ActivityHeap
 from repro.sat.solver import (
     RESTART_POLICIES,
     CdclSolver,
+    ClauseTemplate,
     SolverConfig,
     SolverResult,
     SolverStats,
@@ -44,6 +45,7 @@ __all__ = [
     "Literal",
     "RESTART_POLICIES",
     "CdclSolver",
+    "ClauseTemplate",
     "SolverConfig",
     "SolverResult",
     "SolverStats",

@@ -70,9 +70,24 @@ class CNF:
 
     @classmethod
     def from_dimacs(cls, text: str) -> "CNF":
-        """Parse DIMACS CNF text."""
+        """Parse DIMACS CNF text.
+
+        The clause body is one stream of integers: a clause ends at each
+        ``0``, wherever the line breaks fall, and a final clause without its
+        ``0`` is still accepted.  Comment (``c``), ``%`` and problem lines
+        are read a line at a time.  A ``0`` with no literals before it adds
+        nothing.  A token that is not an integer raises ``ValueError``.
+        """
         cnf = cls()
-        declared_vars = 0
+
+        def close(clause: list[Literal]) -> None:
+            # Files may use variables beyond the declared count.
+            highest = max(abs(literal) for literal in clause)
+            if highest > cnf.num_vars:
+                cnf.num_vars = highest
+            cnf.add_clause(clause)
+
+        clause: list[Literal] = []
         for raw_line in text.splitlines():
             line = raw_line.strip()
             if not line or line.startswith(("c", "%")):
@@ -81,19 +96,20 @@ class CNF:
                 parts = line.split()
                 if len(parts) != 4 or parts[1] != "cnf":
                     raise ValueError(f"malformed problem line: {raw_line!r}")
-                declared_vars = int(parts[2])
-                cnf.num_vars = declared_vars
+                cnf.num_vars = int(parts[2])
                 continue
-            literals = [int(token) for token in line.split()]
-            if literals and literals[-1] == 0:
-                literals = literals[:-1]
-            if not literals:
-                continue
-            highest = max(abs(lit) for lit in literals)
-            if highest > cnf.num_vars:
-                cnf.num_vars = highest
-            cnf.add_clause(literals)
+            for token in line.split():
+                try:
+                    literal = int(token)
+                except ValueError:
+                    raise ValueError(f"invalid DIMACS token {token!r}") from None
+                if literal:
+                    clause.append(literal)
+                elif clause:
+                    close(clause)
+                    clause = []
+        if clause:
+            close(clause)
         return cnf
-
 
 __all__ = ["CNF", "Literal"]

@@ -60,13 +60,23 @@ class ActivityHeap:
         """Extend the variable space to ``num_vars``, inserting new variables.
 
         Fresh variables start at activity 0.0, which is <= every existing
-        activity, so appending them at the leaves preserves the heap order.
+        activity, so appending them at the leaves, in order, preserves the
+        heap order.  A block is appended with one ``extend`` per list; a
+        single variable, the way auxiliary variables arrive, with ``append``,
+        which is cheaper than building the one-element ranges.
         """
-        while self.num_vars < num_vars:
-            variable = len(self._act)
-            self._act.append(0.0)
-            self._pos.append(len(self._heap))
-            self._heap.append(variable)
+        act, heap = self._act, self._heap
+        old = len(act) - 1
+        added = num_vars - old
+        if added == 1:
+            act.append(0.0)
+            self._pos.append(len(heap))
+            heap.append(num_vars)
+        elif added > 0:
+            size = len(heap)
+            act.extend([0.0] * added)
+            self._pos.extend(range(size, size + added))
+            heap.extend(range(old + 1, num_vars + 1))
 
     def push(self, variable: int) -> None:
         """Insert ``variable`` if absent (no-op when already in the heap)."""

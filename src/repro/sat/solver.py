@@ -219,6 +219,79 @@ _CLAUSE_ACTIVITY_LIMIT = 1e20
 _CLAUSE_ACTIVITY_RESCALE = 1e-20
 
 
+def _check_literal(literal: Literal, num_vars: int) -> None:
+    # Literal 0 is the sentinel slot and an out-of-range literal would
+    # alias another variable's complement slot in ``_val``.
+    if literal == 0 or abs(literal) > num_vars:
+        raise ValueError(
+            f"literal {literal} is not a literal over variables 1..{num_vars}"
+        )
+
+
+def _normalise(literals, num_vars: int) -> list[Literal] | None:
+    """The clause sorted by variable, without repeats; None for a tautology.
+
+    Raises ``ValueError`` unless every literal names a variable in
+    ``1..num_vars``.  This is the one normalisation rule: both
+    :meth:`CdclSolver.add_clause` and :meth:`ClauseTemplate.from_cnf` apply
+    it.  Shifting a normalised clause's variables by a common offset keeps it
+    normalised, so a template's shifted copies need not be normalised again.
+    """
+    clause = sorted(set(literals), key=abs)
+    # Sorted by variable, so the extremes bound every literal.
+    if clause and (not clause[0] or abs(clause[-1]) > num_vars):
+        _check_literal(clause[0], num_vars)
+        _check_literal(clause[-1], num_vars)
+    for index in range(1, len(clause)):
+        if clause[index] == -clause[index - 1]:
+            return None  # tautology: x and -x sort next to each other
+    return clause
+
+
+# ``eq=False``: a generated ``__hash__`` would hash the slices, which are
+# unhashable before Python 3.12.
+@dataclass(frozen=True, eq=False)
+class ClauseTemplate:
+    """A CNF normalised once, for adding many times at variable offsets.
+
+    Holds every clause of the source CNF that is not a tautology, each
+    sorted by variable without repeated literals, in source order.  The
+    clauses are stored end to end in ``literals``, and ``slices[i]`` cuts
+    clause ``i`` out of them: :meth:`CdclSolver.add_template` shifts the
+    whole flat tuple in one pass and slices the clauses out of the result.
+    The time-frame expansion builds one template per netlist and adds it once
+    per clock cycle.
+    """
+
+    num_vars: int
+    literals: tuple[Literal, ...]
+    slices: tuple[slice, ...]
+
+    @classmethod
+    def from_cnf(cls, cnf: CNF) -> "ClauseTemplate":
+        """Normalise every clause of ``cnf`` against its ``num_vars``."""
+        literals: list[Literal] = []
+        slices = []
+        for clause in cnf.clauses:
+            clause = _normalise(clause, cnf.num_vars)
+            if clause is not None:
+                slices.append(slice(len(literals), len(literals) + len(clause)))
+                literals += clause
+        return cls(cnf.num_vars, tuple(literals), tuple(slices))
+
+
+def _unassigned(clause: list[Literal], val: list) -> list[Literal] | None:
+    """``clause``'s unassigned literals, or None when one of them is true."""
+    kept = []
+    for literal in clause:
+        value = val[literal]
+        if value is None:
+            kept.append(literal)
+        elif value:
+            return None
+    return kept
+
+
 def _relayout(table: list, num_vars: int, capacity: int) -> list:
     """Copy a literal-indexed table into a longer list of ``capacity`` slots."""
     grown = [None] * capacity
@@ -293,32 +366,61 @@ class CdclSolver:
         """
         if self._trail_limits:
             raise RuntimeError("clauses can only be added at decision level 0")
-        clause = sorted(set(literals), key=abs)
-        if clause:
-            # Sorted by variable, so the extremes bound every literal.
-            self._check_literal(clause[0])
-            self._check_literal(clause[-1])
-        for index in range(1, len(clause)):
-            if clause[index] == -clause[index - 1]:
-                return  # tautology: x and -x sort next to each other
+        clause = _normalise(literals, self._num_vars)
+        if clause is not None:
+            self._attach(clause)
+
+    def add_template(self, template: ClauseTemplate, offset: int) -> None:
+        """Add ``template``'s clauses with every variable shifted by ``offset``.
+
+        The shifted block, variables ``offset + 1 .. offset +
+        template.num_vars``, must lie within the reserved variables, or
+        ``ValueError`` is raised before anything is added.  May only be called
+        at decision level 0.  The solver ends up exactly as if each shifted
+        clause had gone through :meth:`add_clause` in template order: the
+        problem clauses, watch lists, assignments and trail are identical.
+        """
+        if self._trail_limits:
+            raise RuntimeError("clauses can only be added at decision level 0")
+        size = template.num_vars
+        if offset < 0 or offset + size > self._num_vars:
+            raise ValueError(
+                f"template block {offset + 1}..{offset + size} is not within "
+                f"variables 1..{self._num_vars}"
+            )
+        # ``shift[literal]`` is the literal moved into the block, negative
+        # literals included through negative indexing.
+        shift = list(range(offset, offset + size + 1))
+        shift += range(-offset - size, -offset)
+        shifted = list(map(shift.__getitem__, template.literals))
+        attach = self._attach
+        for clause in map(shifted.__getitem__, template.slices):
+            attach(clause)
+
+    def _attach(self, clause: Clause) -> None:
+        """Add one normalised clause at decision level 0, taking ownership.
+
+        The step :meth:`add_clause` and :meth:`add_template` share.  Literals
+        false at level 0 are dropped and a clause already satisfied there is
+        skipped.  A unit clause is assigned and propagated at once, so later
+        clauses see its consequences; an empty one makes the formula UNSAT.
+        """
         val = self._val
-        kept = []
         for literal in clause:
-            value = val[literal]
-            if value is None:
-                kept.append(literal)
-            elif value:
-                return  # already satisfied at level 0
-        if not kept:
-            self._unsat = True
-            return
-        if len(kept) == 1:
-            self._enqueue(kept[0], reason=None)
+            if val[literal] is not None:
+                clause = _unassigned(clause, val)
+                break
+        if clause is None:
+            return  # already satisfied at level 0
+        if len(clause) > 1:
+            self._problem.append(clause)
+            self._watch(clause)
+        elif clause:
+            self._enqueue(clause[0], reason=None)
             if self._propagate() is not None:
                 self._unsat = True
-            return
-        self._problem.append(kept)
-        self._watch(kept)
+        else:
+            self._unsat = True
 
     def reserve_vars(self, num_vars: int) -> None:
         """Grow the variable space to at least ``num_vars`` (idempotent).
@@ -367,14 +469,6 @@ class CdclSolver:
         """Current learned-clause database size (after any forgetting)."""
         return len(self._learned)
 
-    def _check_literal(self, literal: Literal) -> None:
-        # Literal 0 is the sentinel slot and an out-of-range literal would
-        # alias another variable's complement slot in ``_val``.
-        if literal == 0 or abs(literal) > self._num_vars:
-            raise ValueError(
-                f"literal {literal} is not a literal over variables 1..{self._num_vars}"
-            )
-
     def _ensure_vars(self, num_vars: int) -> None:
         old = self._num_vars
         added = num_vars - old
@@ -387,6 +481,9 @@ class CdclSolver:
             self._val = _relayout(self._val, old, capacity)
             self._watches = _relayout(self._watches, old, capacity)
             self._binary = _relayout(self._binary, old, capacity)
+        # A loop, not slice assignment: every new literal needs its own
+        # empty list either way, and building them in list comprehensions
+        # measured slower for one variable and for a frame block alike.
         watches, binary = self._watches, self._binary
         for variable in range(old + 1, num_vars + 1):
             watches[variable], watches[-variable] = [], []
@@ -410,7 +507,7 @@ class CdclSolver:
         num_vars = self._num_vars
         for literal in assumptions:
             if not (literal and -num_vars <= literal <= num_vars):
-                self._check_literal(literal)
+                _check_literal(literal, num_vars)
         if self._unsat:
             return self._result(False)
         self._backtrack(0)
@@ -889,6 +986,7 @@ def solve_cnf(
 __all__ = [
     "RESTART_POLICIES",
     "CdclSolver",
+    "ClauseTemplate",
     "SolverConfig",
     "SolverResult",
     "SolverStats",

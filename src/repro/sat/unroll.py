@@ -7,10 +7,16 @@ happily assigns the state register any value, including states the machine
 can never reach from reset.  :class:`TimeFrameExpansion` removes that
 assumption by unrolling the transition relation ``k`` clock cycles:
 
-- the core's CNF template is instantiated once per *frame* (clock cycle)
-  under a per-frame variable map — frame ``t``'s copy of core variable ``v``
-  lives in a dedicated variable block, so every net has one CNF variable per
-  cycle;
+- the core's CNF is normalised once into a
+  :class:`~repro.sat.solver.ClauseTemplate` (clauses sorted, repeated
+  literals and tautologies dropped, literals range-checked), and the template
+  is instantiated once per *frame* (clock cycle) by shifting it into a
+  dedicated variable block — frame ``t``'s copy of core variable ``v`` is
+  ``v`` plus the frame's offset, so every net has one CNF variable per cycle.
+  :meth:`~repro.sat.solver.CdclSolver.add_template` leaves the solver in
+  exactly the state that adding each shifted clause through
+  :meth:`~repro.sat.solver.CdclSolver.add_clause` would, without
+  normalising every copy again;
 - frame 0's flip-flop Q variables are pinned to the reset state (all-zero by
   default, matching :meth:`repro.circuits.scan.SequentialInterface
   .reset_assignment`) with unit clauses;
@@ -41,7 +47,13 @@ from repro.circuits.netlist import Netlist
 from repro.circuits.scan import ensure_combinational, sequential_interface
 from repro.sat.cnf import Literal
 from repro.sat.encode import CircuitEncoder
-from repro.sat.solver import CdclSolver, SolverConfig, SolverResult, SolverStats
+from repro.sat.solver import (
+    CdclSolver,
+    ClauseTemplate,
+    SolverConfig,
+    SolverResult,
+    SolverStats,
+)
 
 
 class TimeFrameExpansion:
@@ -65,7 +77,7 @@ class TimeFrameExpansion:
         self.interface = sequential_interface(netlist)
         self._core = ensure_combinational(netlist)
         self._encoder = CircuitEncoder(self._core)
-        self._template = self._encoder.cnf
+        self._template = ClauseTemplate.from_cnf(self._encoder.cnf)
         self._frame_size = self._template.num_vars
         self.config = config or SolverConfig()
         self._solver = CdclSolver(config=self.config)
@@ -138,10 +150,7 @@ class TimeFrameExpansion:
             self._next_var += self._frame_size
             self._solver.reserve_vars(self._next_var)
             self._frame_base.append(base)
-            for clause in self._template.clauses:
-                self._solver.add_clause(
-                    [lit + base if lit > 0 else lit - base for lit in clause]
-                )
+            self._solver.add_template(self._template, base)
             if frame == 0:
                 for net, value in self._initial_state.items():
                     self._solver.add_clause([self.literal(net, value, 0)])

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import os
+import time
 
 import pytest
 
@@ -167,6 +168,37 @@ class TestSpans:
         opened.end()  # idempotent: ends exactly once
         obs.trace.flush_spans()
         assert len(load_spans(traced)) == 1
+
+    def test_serial_task_spans_time_their_own_task(self, traced):
+        """Each ``label[i]`` span ends when task i resolves, not when read."""
+        from repro.runner.resilience import ResiliencePolicy, run_tasks
+
+        calls = []
+
+        def nap(index):
+            calls.append(index)
+            time.sleep(0.1)
+            if calls.count(1) == 1 and index == 1:
+                raise ValueError("first attempt fails")
+            return index
+
+        outcome = run_tasks(
+            nap, [(0,), (1,), (2,)], backend="serial", label="cell",
+            policy=ResiliencePolicy(backoff_base=0.0),
+        )
+        assert outcome.results == [0, 1, 2]
+        obs.trace.flush_spans()
+        spans = [r for r in load_spans(traced) if r["name"].startswith("cell[")]
+        assert sorted(r["name"] for r in spans) == [
+            "cell[0]", "cell[1]", "cell[1]", "cell[2]",
+        ]
+        assert all(0.1 <= r["dur_s"] < 0.15 for r in spans), [
+            (r["name"], r["dur_s"]) for r in spans
+        ]
+        (failed,) = [r for r in spans if r["status"] != "ok"]
+        assert failed["name"] == "cell[1]"
+        assert failed["status"] == "error"
+        assert "first attempt fails" in failed["attrs"]["failure"]
 
     def test_orphans_are_detected_and_still_rendered_as_roots(self, traced):
         orphan = obs.trace.start_span(

@@ -53,6 +53,22 @@ class TestCnf:
         parsed = CNF.from_dimacs(text)
         assert parsed.clauses == [[1, -2]]
 
+    def test_dimacs_clause_spans_lines(self):
+        parsed = CNF.from_dimacs("p cnf 3 1\n1 -2\n3 0\n")
+        assert parsed.clauses == [[1, -2, 3]]
+
+    def test_dimacs_several_clauses_on_one_line(self):
+        parsed = CNF.from_dimacs("p cnf 3 2\n1 -2 0 3 0\n")
+        assert parsed.clauses == [[1, -2], [3]]
+
+    def test_dimacs_final_clause_without_terminator(self):
+        parsed = CNF.from_dimacs("p cnf 2 2\n1 0\n-1 2\n")
+        assert parsed.clauses == [[1], [-1, 2]]
+
+    def test_dimacs_rejects_a_non_integer_token(self):
+        with pytest.raises(ValueError, match="'x'"):
+            CNF.from_dimacs("p cnf 2 1\n1 x 0\n")
+
     def test_dimacs_write(self, tmp_path):
         cnf = CNF(num_vars=2, clauses=[[1, 2]])
         path = tmp_path / "f.cnf"

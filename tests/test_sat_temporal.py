@@ -10,7 +10,9 @@ Differential coverage for the unrolled transition relation:
   infected-netlist ground-truth oracle;
 - crafted unreachable triggers must be UNSAT at any depth even though the
   full-scan (single-cycle) view calls them satisfiable;
-- incremental depth extension must answer exactly like a fresh unroll.
+- incremental depth extension must answer exactly like a fresh unroll;
+- frames instantiated from the normalised clause template must leave the
+  solver exactly as adding every shifted clause through ``add_clause`` does.
 """
 
 from __future__ import annotations
@@ -22,7 +24,9 @@ from repro.circuits.gates import GateType
 from repro.circuits.library import load_benchmark
 from repro.circuits.netlist import Netlist
 from repro.core.patterns import SequenceSet
+from repro.sat.cnf import CNF
 from repro.sat.justify import Justifier
+from repro.sat.solver import CdclSolver, ClauseTemplate
 from repro.sat.temporal import (
     SequenceWitness,
     SequentialJustifier,
@@ -30,7 +34,7 @@ from repro.sat.temporal import (
     temporal_fire_cycles,
 )
 from repro.sat.unroll import TimeFrameExpansion
-from repro.circuits.scan import ensure_combinational
+from repro.circuits.scan import ensure_combinational, sequential_interface
 from repro.simulation.compiled import compile_sequential_netlist
 from repro.simulation.rare_nets import extract_rare_nets
 from repro.trojan.evaluation import (
@@ -196,6 +200,146 @@ class TestTimeFrameExpansion:
         expansion.solve()
         expansion.solve([expansion.literal("a", 1, 0)])
         assert expansion.num_queries == before + 2
+
+
+def self_loop_netlist() -> Netlist:
+    """Gates reading one net twice: their CNF repeats literals and has tautologies."""
+    netlist = Netlist("selfloop")
+    netlist.add_input("a")
+    netlist.add_input("b")
+    netlist.add_gate("aa", GateType.AND, ("a", "a"))
+    netlist.add_gate("za", GateType.XOR, ("a", "a"))
+    netlist.add_gate("nb", GateType.XNOR, ("b", "b"))
+    netlist.add_flip_flop("q", "aa")
+    netlist.add_flip_flop("r", "nb")
+    netlist.add_gate("mix", GateType.OR, ("za", "q", "r"))
+    netlist.add_output("mix")
+    return netlist
+
+
+def clause_by_clause(expansion: TimeFrameExpansion) -> CdclSolver:
+    """A reference solver fed every shifted clause through ``add_clause``.
+
+    It replays the frames ``expansion`` holds in the order ``extend_to``
+    builds them: reserve the frame's block, add the raw core clauses shifted
+    into it, then the reset-state units (frame 0) or the Q/D transfer pair.
+    """
+    cnf = expansion._encoder.cnf
+    interface = expansion.interface
+    solver = CdclSolver(config=expansion.config)
+    for frame, base in enumerate(expansion._frame_base):
+        solver.reserve_vars(base + cnf.num_vars)
+        for clause in cnf.clauses:
+            solver.add_clause([lit + base if lit > 0 else lit - base for lit in clause])
+        if frame == 0:
+            for net, value in expansion._initial_state.items():
+                solver.add_clause([expansion.literal(net, value, 0)])
+        else:
+            for q, d in zip(interface.state, interface.next_state):
+                q_var = expansion.variable(q, frame)
+                d_var = expansion.variable(d, frame - 1)
+                solver.add_clause([-q_var, d_var])
+                solver.add_clause([q_var, -d_var])
+    return solver
+
+
+def solver_state(solver: CdclSolver) -> dict:
+    """Everything construction touches, with clauses as plain literal lists."""
+    literals = [
+        literal
+        for variable in range(1, solver._num_vars + 1)
+        for literal in (variable, -variable)
+    ]
+    return {
+        "problem": [list(clause) for clause in solver._problem],
+        "binary": [
+            [(implied, list(clause)) for implied, clause in solver._binary[literal]]
+            for literal in literals
+        ],
+        "watches": [
+            [(list(clause), blocker) for clause, blocker in solver._watches[literal]]
+            for literal in literals
+        ],
+        "val": list(solver._val),
+        "trail": list(solver._trail),
+        "level": list(solver._level),
+        "reason": [None if reason is None else list(reason) for reason in solver._reason],
+        "phase": list(solver._phase),
+        "unsat": solver._unsat,
+        "heap": list(solver._heap._heap),
+        "pos": list(solver._heap._pos),
+    }
+
+
+class TestTemplateConstruction:
+    """Frames built from the normalised template equal clause-by-clause frames."""
+
+    @staticmethod
+    def assert_matches_reference(expansion: TimeFrameExpansion) -> None:
+        expected = solver_state(clause_by_clause(expansion))
+        actual = solver_state(expansion._solver)
+        for key in expected:
+            assert actual[key] == expected[key], key
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_generated_controllers(self, seed):
+        from repro.circuits import generators
+
+        netlist = generators.sequential_controller(
+            f"sc{seed}", state_bits=4, data_width=6, seed=seed
+        )
+        self.assert_matches_reference(TimeFrameExpansion(netlist, num_frames=5))
+
+    @pytest.mark.parametrize("design", ["s15850_like", "s35932_like"])
+    def test_library_cells_at_benchmark_depth(self, design):
+        netlist = load_benchmark(design, combinational_view=False)
+        self.assert_matches_reference(TimeFrameExpansion(netlist, num_frames=8))
+
+    def test_non_reset_initial_state(self, controller):
+        state = sorted(sequential_interface(controller).state)
+        initial = {net: index % 2 for index, net in enumerate(state)}
+        expansion = TimeFrameExpansion(controller, num_frames=4, initial_state=initial)
+        assert any(initial.values())
+        self.assert_matches_reference(expansion)
+
+    def test_stepwise_extension(self, controller):
+        expansion = TimeFrameExpansion(controller, num_frames=1)
+        for depth in (1, 3, 8):
+            expansion.extend_to(depth)
+            self.assert_matches_reference(expansion)
+
+    def test_repeated_literals_and_tautologies(self):
+        netlist = self_loop_netlist()
+        expansion = TimeFrameExpansion(netlist, num_frames=4, initial_state={"r": 1})
+        cnf = expansion._encoder.cnf
+        template = expansion._template
+        # The raw CNF holds clauses the template must normalise away.
+        assert any(len(set(clause)) < len(clause) for clause in cnf.clauses)
+        assert len(template.slices) < len(cnf.clauses)
+        self.assert_matches_reference(expansion)
+
+    def test_template_holds_normalised_clauses(self):
+        cnf = CNF(num_vars=3, clauses=[[2, -1, 2], [1, -1, 3], [3], [-3, 1, -2]])
+        template = ClauseTemplate.from_cnf(cnf)
+        assert template.num_vars == 3
+        clauses = [template.literals[cut] for cut in template.slices]
+        assert clauses == [(-1, 2), (3,), (1, -2, -3)]
+        with pytest.raises(ValueError, match="variables 1..2"):
+            ClauseTemplate.from_cnf(CNF(num_vars=2, clauses=[[1, -3]]))
+
+    def test_template_calls_are_checked_once_up_front(self):
+        expansion = TimeFrameExpansion(toy_netlist(), num_frames=2)
+        solver = expansion._solver
+        template = expansion._template
+        problem = len(solver._problem)
+        with pytest.raises(ValueError, match="not within"):
+            solver.add_template(template, expansion._next_var - template.num_vars + 1)
+        with pytest.raises(ValueError, match="not within"):
+            solver.add_template(template, -1)
+        assert len(solver._problem) == problem
+        solver._trail_limits.append(len(solver._trail))  # open decision level 1
+        with pytest.raises(RuntimeError, match="level 0"):
+            solver.add_template(template, 0)
 
 
 class TestTemporalFireCycles:

@@ -18,6 +18,7 @@ from repro.sat.heap import ActivityHeap
 from repro.sat.solver import (
     RESTART_POLICIES,
     CdclSolver,
+    ClauseTemplate,
     SolverConfig,
     SolverResult,
     SolverStats,
@@ -485,28 +486,59 @@ def literals(num_vars: int):
 
 
 class TestInterleavedGrowth:
-    """Incremental use as the temporal path drives it: grow, add, solve, repeat."""
+    """Incremental use as the temporal path drives it: grow, add, solve, repeat.
+
+    A "template" step adds a small random CNF, normalised once into a
+    :class:`ClauseTemplate`, as a block shifted to a random offset.  Its raw
+    clauses, shifted, go to the CNF oracle and, one at a time through
+    ``add_clause``, to a shadow solver, whose clause database and level-0
+    assignment must stay identical to the template solver's.
+    """
 
     @settings(max_examples=120, deadline=None)
     @given(data=st.data(), initial_vars=st.integers(0, 3))
     def test_growth_between_solves_matches_oracle(self, data, initial_vars):
         solver = CdclSolver()
-        solver.reserve_vars(initial_vars)
+        shadow = CdclSolver()
+        for each in (solver, shadow):
+            each.reserve_vars(initial_vars)
         cnf = CNF(num_vars=initial_vars)
         for _ in range(data.draw(st.integers(1, 20), label="steps")):
-            action = data.draw(st.sampled_from(["reserve", "clause", "clause", "solve"]))
+            action = data.draw(
+                st.sampled_from(["reserve", "clause", "clause", "template", "solve"])
+            )
             num_vars = cnf.num_vars
             if action == "reserve" or num_vars == 0:
                 grown = num_vars + data.draw(st.integers(0, MAX_PROPERTY_VARS - num_vars))
-                solver.reserve_vars(grown)
+                for each in (solver, shadow):
+                    each.reserve_vars(grown)
                 cnf.num_vars = grown
             elif action == "clause":
                 clause = data.draw(st.lists(literals(num_vars), min_size=1, max_size=3))
-                solver.add_clause(clause)
+                for each in (solver, shadow):
+                    each.add_clause(clause)
                 cnf.add_clause(clause)
+            elif action == "template":
+                size = data.draw(st.integers(1, num_vars), label="block")
+                offset = data.draw(st.integers(0, num_vars - size), label="offset")
+                block = CNF(num_vars=size)
+                block.add_clauses(
+                    data.draw(
+                        st.lists(
+                            st.lists(literals(size), min_size=1, max_size=3), max_size=4
+                        ),
+                        label="block clauses",
+                    )
+                )
+                solver.add_template(ClauseTemplate.from_cnf(block), offset)
+                for clause in block.clauses:
+                    shifted = [lit + offset if lit > 0 else lit - offset for lit in clause]
+                    shadow.add_clause(shifted)
+                    cnf.add_clause(shifted)
             else:
                 assumptions = data.draw(st.lists(literals(num_vars), max_size=2))
                 result = solver.solve(assumptions)
+                assert shadow.solve(assumptions).satisfiable == result.satisfiable
                 constrained = cnf.copy()
                 for literal in assumptions:
                     constrained.add_clause([literal])
@@ -514,6 +546,10 @@ class TestInterleavedGrowth:
                 if result.satisfiable:
                     for clause in constrained.clauses:
                         assert any(result.value(abs(lit)) == (lit > 0) for lit in clause)
+            assert solver._val == shadow._val
+            assert solver._trail == shadow._trail
+            assert solver._unsat == shadow._unsat
+            assert solver._problem == shadow._problem
             solver._heap.check_invariants()
             assert_value_layout(solver)
 
